@@ -29,6 +29,18 @@ type Continuous struct {
 	optLogStd  *nn.Adam
 	rng        *rand.Rand
 	updates    int
+
+	// The minibatch step's actor and critic blocks run as two tensor.Run
+	// tasks, bound once, as in PPO. Each reads the minibatch fields and
+	// writes only its own network, optimizer and results.
+	mbRoll    *ContRollout
+	mbAdv     []float64
+	mbRet     []float64
+	mbB       []int
+	mbX       *tensor.Mat
+	mbTasks   []func()
+	actorOut  actorResult
+	criticOut criticResult
 }
 
 // NewContinuous returns a continuous-action PPO learner.
@@ -244,17 +256,35 @@ func (p *Continuous) updateMinibatch(roll *ContRollout, adv, ret []float64, b []
 	for i, j := range b {
 		copy(x.Row(i), roll.Steps[j].Obs)
 	}
+	if p.mbTasks == nil {
+		p.mbTasks = []func(){p.actorStep, p.criticStep}
+	}
+	p.mbRoll, p.mbAdv, p.mbRet, p.mbB, p.mbX = roll, adv, ret, b, x
+	tensor.Run(p.mbTasks...)
+	a, c := p.actorOut, p.criticOut
+	return Stats{
+		PolicyLoss: a.polLoss / float64(bs),
+		ValueLoss:  c.vfLoss / float64(bs),
+		Entropy:    a.entSum / float64(bs),
+		ClipFrac:   a.clipped / float64(bs),
+	}
+}
 
+// actorStep is the minibatch step's actor block: the mean network and the
+// log-std vector.
+func (p *Continuous) actorStep() {
+	b, adv := p.mbB, p.mbAdv
+	bs := len(b)
 	p.Actor.ZeroGrad()
 	for i := range p.logStdGrad {
 		p.logStdGrad[i] = 0
 	}
-	means := p.Actor.Forward(x)
+	means := p.Actor.Forward(p.mbX)
 	dmeans := tensor.New(bs, p.ActDim)
 
 	var polLoss, entSum, clipped float64
 	for i, j := range b {
-		s := roll.Steps[j]
+		s := p.mbRoll.Steps[j]
 		mean := means.Row(i)
 		newLogp := nn.GaussianLogProb(s.Act, mean, p.LogStd)
 		ratio := math.Exp(newLogp - s.LogP)
@@ -293,9 +323,15 @@ func (p *Continuous) updateMinibatch(roll *ContRollout, adv, ret []float64, b []
 	for i := range p.LogStd {
 		p.LogStd[i] = mathx.Clip(p.LogStd[i], -4, 1)
 	}
+	p.actorOut = actorResult{polLoss: polLoss, entSum: entSum, clipped: clipped}
+}
 
+// criticStep is the minibatch step's critic block.
+func (p *Continuous) criticStep() {
+	b, ret := p.mbB, p.mbRet
+	bs := len(b)
 	p.Critic.ZeroGrad()
-	values := p.Critic.Forward(x)
+	values := p.Critic.Forward(p.mbX)
 	dvals := tensor.New(bs, 1)
 	var vfLoss float64
 	for i, j := range b {
@@ -306,11 +342,5 @@ func (p *Continuous) updateMinibatch(roll *ContRollout, adv, ret []float64, b []
 	p.Critic.Backward(dvals)
 	nn.ClipGrads(p.Critic.Params(), p.Cfg.MaxGrad)
 	p.optCritic.Step()
-
-	return Stats{
-		PolicyLoss: polLoss / float64(bs),
-		ValueLoss:  vfLoss / float64(bs),
-		Entropy:    entSum / float64(bs),
-		ClipFrac:   clipped / float64(bs),
-	}
+	p.criticOut = criticResult{vfLoss: vfLoss}
 }

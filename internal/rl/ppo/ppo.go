@@ -112,7 +112,28 @@ type PPO struct {
 	flatActs                   []int
 	flatLogp, flatAdv, flatRet []float64
 	idx                        []int
+
+	// The minibatch step's actor and critic blocks run as two tensor.Run
+	// tasks, bound once. Each reads the minibatch in mb and writes only
+	// its own network, optimizer, scratch and loss accumulators.
+	mb        minibatch
+	mbTasks   []func()
+	actorOut  actorResult
+	criticOut criticResult
 }
+
+// minibatch is what the tasks read of one minibatch step's input: the
+// flattened rollout's columns and the indices b drawn from it.
+type minibatch struct {
+	acts              []int
+	oldLogp, adv, ret []float64
+	b                 []int
+}
+
+// actorResult and criticResult are one minibatch step's per-task sums.
+type actorResult struct{ polLoss, entSum, clipped, gradNorm float64 }
+
+type criticResult struct{ vfLoss, gradNorm float64 }
 
 // New returns a PPO learner for obsDim observations and nActions discrete
 // actions.
@@ -285,18 +306,34 @@ func (p *PPO) updateMinibatch(obs [][]float64, acts []int, oldLogp, adv, ret []f
 	for i, j := range b {
 		copy(x.Row(i), obs[j])
 	}
+	if p.mbTasks == nil {
+		p.scrProbs = make([]float64, p.NActions)
+		p.scrLogProbs = make([]float64, p.NActions)
+		p.mbTasks = []func(){p.actorStep, p.criticStep}
+	}
+	p.mb = minibatch{acts: acts, oldLogp: oldLogp, adv: adv, ret: ret, b: b}
+	tensor.Run(p.mbTasks...)
+	a, c := p.actorOut, p.criticOut
+	return Stats{
+		PolicyLoss: a.polLoss / float64(bs),
+		ValueLoss:  c.vfLoss / float64(bs),
+		Entropy:    a.entSum / float64(bs),
+		ClipFrac:   a.clipped / float64(bs),
+		GradNorm:   a.gradNorm + c.gradNorm,
+	}
+}
 
-	// ---- Actor ----
+// actorStep is the minibatch step's actor block: forward, clipped
+// surrogate and entropy gradients, backward, clip and Adam.
+func (p *PPO) actorStep() {
+	b, acts, oldLogp, adv := p.mb.b, p.mb.acts, p.mb.oldLogp, p.mb.adv
+	bs := len(b)
 	p.Actor.ZeroGrad()
-	logits := p.Actor.Forward(x)
+	logits := p.Actor.Forward(p.scrX)
 	p.scrDlogits = tensor.Ensure(p.scrDlogits, bs, p.NActions)
 	dlogits := p.scrDlogits
 
 	var polLoss, entSum, clipped float64
-	if p.scrProbs == nil {
-		p.scrProbs = make([]float64, p.NActions)
-		p.scrLogProbs = make([]float64, p.NActions)
-	}
 	probs := p.scrProbs
 	logProbs := p.scrLogProbs
 	for i, j := range b {
@@ -340,12 +377,18 @@ func (p *PPO) updateMinibatch(obs [][]float64, acts []int, oldLogp, adv, ret []f
 		}
 	}
 	p.Actor.Backward(dlogits)
-	gnA := nn.ClipGrads(p.Actor.Params(), p.Cfg.MaxGrad)
+	gn := nn.ClipGrads(p.Actor.Params(), p.Cfg.MaxGrad)
 	p.optActor.Step()
+	p.actorOut = actorResult{polLoss: polLoss, entSum: entSum, clipped: clipped, gradNorm: gn}
+}
 
-	// ---- Critic ----
+// criticStep is the minibatch step's critic block: forward, value-loss
+// gradient, backward, clip and Adam.
+func (p *PPO) criticStep() {
+	b, ret := p.mb.b, p.mb.ret
+	bs := len(b)
 	p.Critic.ZeroGrad()
-	values := p.Critic.Forward(x)
+	values := p.Critic.Forward(p.scrX)
 	p.scrDvals = tensor.Ensure(p.scrDvals, bs, 1)
 	dvals := p.scrDvals
 	var vfLoss float64
@@ -355,14 +398,7 @@ func (p *PPO) updateMinibatch(obs [][]float64, acts []int, oldLogp, adv, ret []f
 		dvals.Set(i, 0, p.Cfg.VfCoef*d/float64(bs))
 	}
 	p.Critic.Backward(dvals)
-	gnC := nn.ClipGrads(p.Critic.Params(), p.Cfg.MaxGrad)
+	gn := nn.ClipGrads(p.Critic.Params(), p.Cfg.MaxGrad)
 	p.optCritic.Step()
-
-	return Stats{
-		PolicyLoss: polLoss / float64(bs),
-		ValueLoss:  vfLoss / float64(bs),
-		Entropy:    entSum / float64(bs),
-		ClipFrac:   clipped / float64(bs),
-		GradNorm:   gnA + gnC,
-	}
+	p.criticOut = criticResult{vfLoss: vfLoss, gradNorm: gn}
 }

@@ -114,12 +114,23 @@ type SAC struct {
 
 	// Update scratch, reused across gradient steps so steady-state
 	// training does not allocate.
-	scrBatch          []rl.Transition
-	scrX, scrXn       *tensor.Mat
-	scrDq, scrDlogits *tensor.Mat
-	scrTargets        []float64
-	scrProbsN, scrLpN []float64
-	scrProbs, scrLp   []float64
+	scrBatch               []rl.Transition
+	scrX, scrXn            *tensor.Mat
+	scrDq1, scrDq2         *tensor.Mat // one per critic: the critic steps run concurrently
+	scrDlogits             *tensor.Mat
+	scrTargets             []float64
+	scrProbsN, scrLpN      []float64
+	scrProbs, scrLp        []float64
+	batch                  []rl.Transition // the step's minibatch, read by the tasks
+	nextLogits, q1tN, q2tN *tensor.Mat     // forwards on the next observations
+	logits, q1X, q2X       *tensor.Mat     // forwards on the observations
+	qLoss                  float64         // Q1's summed squared TD error
+
+	// The update's tensor.Run task lists, bound once by bindTasks so a
+	// step does not allocate. Each task touches only its own network,
+	// optimizer and scratch, which is what makes the tasks of one list
+	// independent and the update bit-identical at every pool width.
+	nextForwards, criticSteps, forwards, actorAndTargets []func()
 }
 
 // New returns a SAC learner for obsDim observations and nActions discrete
@@ -204,16 +215,52 @@ func (s *SAC) Observe(t rl.Transition) (Stats, bool) {
 	return st, true
 }
 
-// update runs one gradient step on a sampled minibatch.
+// bindTasks allocates the per-step scratch and binds the update's task
+// lists.
+func (s *SAC) bindTasks() {
+	s.scrBatch = make([]rl.Transition, s.Cfg.Batch)
+	s.scrProbsN = make([]float64, s.NActions)
+	s.scrLpN = make([]float64, s.NActions)
+	s.scrProbs = make([]float64, s.NActions)
+	s.scrLp = make([]float64, s.NActions)
+	s.nextForwards = []func(){
+		func() { s.nextLogits = s.Actor.Forward(s.scrXn) },
+		func() { s.q1tN = s.Q1T.Forward(s.scrXn) },
+		func() { s.q2tN = s.Q2T.Forward(s.scrXn) },
+	}
+	s.criticSteps = []func(){
+		func() { s.qLoss = s.criticStep(s.Q1, s.optQ1, &s.scrDq1) },
+		func() { s.criticStep(s.Q2, s.optQ2, &s.scrDq2) },
+	}
+	s.forwards = []func(){
+		func() {
+			s.Actor.ZeroGrad()
+			s.logits = s.Actor.Forward(s.scrX)
+		},
+		func() { s.q1X = s.Q1.Forward(s.scrX) },
+		func() { s.q2X = s.Q2.Forward(s.scrX) },
+	}
+	s.actorAndTargets = []func(){
+		func() {
+			s.Actor.Backward(s.scrDlogits)
+			nn.ClipGrads(s.Actor.Params(), 10)
+			s.optActor.Step()
+		},
+		func() { s.Q1T.Polyak(s.Q1, s.Cfg.Tau) },
+		func() { s.Q2T.Polyak(s.Q2, s.Cfg.Tau) },
+	}
+}
+
+// update runs one gradient step on a sampled minibatch. The networks'
+// work runs as concurrent tensor.Run tasks at four seams: the forwards on
+// the next observations, the two critic steps, the forwards on the
+// observations, and the actor step beside the target updates.
 func (s *SAC) update() Stats {
 	if s.scrBatch == nil {
-		s.scrBatch = make([]rl.Transition, s.Cfg.Batch)
-		s.scrProbsN = make([]float64, s.NActions)
-		s.scrLpN = make([]float64, s.NActions)
-		s.scrProbs = make([]float64, s.NActions)
-		s.scrLp = make([]float64, s.NActions)
+		s.bindTasks()
 	}
 	batch := s.Buffer.Sample(s.rng, s.Cfg.Batch, s.scrBatch)
+	s.batch = batch
 	bs := len(batch)
 	alpha := s.Alpha()
 
@@ -228,11 +275,10 @@ func (s *SAC) update() Stats {
 	// ---- Targets: y = r + γ(1-d) Σ_a π(a|s')[minQT(s',a) − α·logπ(a|s')]
 	// Each network owns its forward-output buffer, so the target-net
 	// outputs stay valid without cloning while the actor runs.
-	nextLogits := s.Actor.Forward(xn)
+	tensor.Run(s.nextForwards...)
+	nextLogits, q1t, q2t := s.nextLogits, s.q1tN, s.q2tN
 	probsN := s.scrProbsN
 	lpN := s.scrLpN
-	q1t := s.Q1T.Forward(xn)
-	q2t := s.Q2T.Forward(xn)
 	if cap(s.scrTargets) < bs {
 		s.scrTargets = make([]float64, bs)
 	}
@@ -254,34 +300,12 @@ func (s *SAC) update() Stats {
 	}
 
 	// ---- Critic update: MSE on the taken action's Q value.
-	var qLoss float64
-	for qi, pair := range []struct {
-		net *nn.MLP
-		opt *nn.Adam
-	}{{s.Q1, s.optQ1}, {s.Q2, s.optQ2}} {
-		pair.net.ZeroGrad()
-		q := pair.net.Forward(x)
-		s.scrDq = tensor.Ensure(s.scrDq, bs, s.NActions)
-		dq := s.scrDq
-		dq.Zero() // only the taken action's entry is set below
-		for i, t := range batch {
-			d := q.At(i, t.Action) - targets[i]
-			if qi == 0 {
-				qLoss += 0.5 * d * d
-			}
-			dq.Set(i, t.Action, d/float64(bs))
-		}
-		pair.net.Backward(dq)
-		nn.ClipGrads(pair.net.Params(), 10)
-		pair.opt.Step()
-	}
-	qLoss /= float64(bs)
+	tensor.Run(s.criticSteps...)
+	qLoss := s.qLoss / float64(bs)
 
 	// ---- Actor update: minimize Σ_a π(a|s)[α·logπ(a|s) − minQ(s,a)].
-	s.Actor.ZeroGrad()
-	logits := s.Actor.Forward(x)
-	q1 := s.Q1.Forward(x)
-	q2 := s.Q2.Forward(x)
+	tensor.Run(s.forwards...)
+	logits, q1, q2 := s.logits, s.q1X, s.q2X
 	s.scrDlogits = tensor.Ensure(s.scrDlogits, bs, s.NActions)
 	dlogits := s.scrDlogits
 	probs := s.scrProbs
@@ -310,9 +334,9 @@ func (s *SAC) update() Stats {
 			drow[j] = probs[j] * (g - eg) / float64(bs)
 		}
 	}
-	s.Actor.Backward(dlogits)
-	nn.ClipGrads(s.Actor.Params(), 10)
-	s.optActor.Step()
+	// The actor step touches neither critic, so the target networks
+	// track Q1 and Q2 alongside it.
+	tensor.Run(s.actorAndTargets...)
 
 	// ---- Temperature update: J(α) = E[−α(logπ + H̄)] via Adam on logα.
 	gradLogAlpha := -(s.Cfg.TargetEntropy - entSum/float64(bs)) * alpha
@@ -325,10 +349,6 @@ func (s *SAC) update() Stats {
 	s.logAlpha -= s.Cfg.AlphaLR * mHat / (math.Sqrt(vHat) + 1e-8)
 	s.logAlpha = mathx.Clip(s.logAlpha, -10, 2)
 
-	// ---- Target networks.
-	s.Q1T.Polyak(s.Q1, s.Cfg.Tau)
-	s.Q2T.Polyak(s.Q2, s.Cfg.Tau)
-
 	s.gradSteps++
 	return Stats{
 		QLoss:     qLoss,
@@ -336,4 +356,27 @@ func (s *SAC) update() Stats {
 		Alpha:     s.Alpha(),
 		Entropy:   entSum / float64(bs),
 	}
+}
+
+// criticStep runs one critic's forward, backward, gradient clip and Adam
+// step against the shared targets, with its own dq scratch, and returns
+// its summed squared TD error (halved).
+func (s *SAC) criticStep(net *nn.MLP, opt *nn.Adam, scr **tensor.Mat) float64 {
+	batch, targets := s.batch, s.scrTargets
+	bs := len(batch)
+	net.ZeroGrad()
+	q := net.Forward(s.scrX)
+	*scr = tensor.Ensure(*scr, bs, s.NActions)
+	dq := *scr
+	dq.Zero() // only the taken action's entry is set below
+	var loss float64
+	for i, t := range batch {
+		d := q.At(i, t.Action) - targets[i]
+		loss += 0.5 * d * d
+		dq.Set(i, t.Action, d/float64(bs))
+	}
+	net.Backward(dq)
+	nn.ClipGrads(net.Params(), 10)
+	opt.Step()
+	return loss
 }

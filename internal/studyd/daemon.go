@@ -119,6 +119,11 @@ type Daemon struct {
 	mu sync.Mutex
 	// guarded-by: mu
 	stopped bool
+
+	// sseOpened, when set, runs after an event stream's opening summary
+	// is written and before the stream decides whether the study is over
+	// (a test hook for that window).
+	sseOpened func(*ManagedStudy)
 }
 
 // New opens the state directory (loading any persisted studies) and

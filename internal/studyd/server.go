@@ -169,9 +169,18 @@ func (d *Daemon) serveEvents(w http.ResponseWriter, r *http.Request, m *ManagedS
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeSSE(w, "summary", m.Summary())
+	// One snapshot both opens the stream and decides whether it stays
+	// open. The subscription predates it, so if the study finishes any
+	// time after the snapshot, its study_done is already on the way to
+	// sub; re-reading the status instead could see "done" and close the
+	// stream on events still in the buffer.
+	sum := m.Summary()
+	writeSSE(w, "summary", sum)
 	flush(fl)
-	if terminalStatus(m.Status()) {
+	if d.sseOpened != nil {
+		d.sseOpened(m)
+	}
+	if terminalStatus(sum.Status) {
 		// Nothing further will happen this daemon lifetime; close rather
 		// than hold an idle stream open.
 		return

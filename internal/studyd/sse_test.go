@@ -47,6 +47,67 @@ func readSSE(t *testing.T, r *bufio.Reader, limit int) []sseFrame {
 	return frames
 }
 
+// TestEventsSSEFinishAfterSummary is the regression test for the stream
+// that ended on "running" then EOF: the study finishes after the opening
+// summary is written but before the handler decides whether the study is
+// over. The stream must still deliver every trial's events, study_done
+// and the closing summary, which are all in the subscription's buffer.
+func TestEventsSSEFinishAfterSummary(t *testing.T) {
+	release := make(chan struct{})
+	RegisterObjective("sse-gate-late", func(spec Spec, metrics []core.Metric) (core.Objective, error) {
+		return func(a param.Assignment, seed uint64, rec *core.Recorder) error {
+			select {
+			case <-release:
+			case <-rec.Context().Done():
+				return rec.Context().Err()
+			}
+			rec.Report(metrics[0].Name, a.Value("x").Float())
+			rec.Report(metrics[1].Name, a.Value("y").Float())
+			return nil
+		}, nil
+	})
+	d, err := New(Config{Dir: t.TempDir(), Workers: 2, Logf: testLogf(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.sseOpened = func(m *ManagedStudy) {
+		close(release)
+		<-m.Done()
+	}
+	d.Start()
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	defer d.Shutdown(context.Background())
+
+	sp := baseSpec("sse-gate-late")
+	sp.Budget = 3
+	m, err := d.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/studies/" + m.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := readSSE(t, bufio.NewReader(resp.Body), 0)
+	counts := map[string]int{}
+	for _, f := range frames {
+		counts[f.Event]++
+	}
+	if len(frames) < 3 || frames[0].Event != "summary" || counts[obs.KindTrialDone] != sp.Budget ||
+		counts[obs.KindStudyDone] != 1 || frames[len(frames)-1].Event != "summary" {
+		t.Fatalf("stream truncated: counts %v, frames %+v", counts, frames)
+	}
+	var sum Summary
+	if err := json.Unmarshal([]byte(frames[len(frames)-1].Data), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Status != StatusDone || sum.Finished != sp.Budget {
+		t.Fatalf("final summary: %+v", sum)
+	}
+}
+
 // TestEventsSSEStream drives the push endpoint end to end: subscribe while
 // the study is gated, release it, and require the stream to deliver the
 // opening summary, per-trial start/done events attributed to this study,

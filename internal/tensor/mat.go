@@ -89,9 +89,14 @@ func (m *Mat) Orthogonalish(rng *rand.Rand, gain float64) {
 }
 
 // parallelThreshold is the number of multiply-adds above which the matrix
-// products fan out across the worker pool (pool.go). Small policy networks
-// stay single-threaded, large batched products use all cores.
-const parallelThreshold = 1 << 16
+// products fan out in row chunks across the worker pool (pool.go). It is
+// the crossover BenchmarkFanOut (pool_test.go) measures between one
+// product run serially and the same product split at width 2: on a 2-vCPU
+// Xeon, 2^17 (32×64×64, the policy batch) is ~12% slower fanned out, 2^19
+// breaks even, and from 2^20 on fan-out wins by 30% or more. Policy-sized
+// products therefore run serially, and the training loops get their
+// parallelism one level up, by running whole networks as tensor.Run tasks.
+const parallelThreshold = 1 << 20
 
 // blockThreshold is the size of the streamed operand (elements) above which
 // mulRows switches to the cache-blocked kernel: once one pass over b no

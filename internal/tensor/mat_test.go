@@ -55,8 +55,8 @@ func naiveMul(a, b *Mat) *Mat {
 func TestMulParallelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	// Big enough to cross parallelThreshold.
-	a := New(80, 64)
-	b := New(64, 48)
+	a := New(160, 128)
+	b := New(128, 64)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
 	got := Mul(a, b)

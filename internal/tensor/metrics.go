@@ -10,8 +10,10 @@ var (
 		"Row chunks dispatched to the kernel worker pool.")
 	metricSerialCalls = obs.Default.NewCounter("rldecide_tensor_serial_calls_total",
 		"Kernel calls that ran serially (width 1 or fewer rows than workers).")
+	metricPoolTasks = obs.Default.NewCounter("rldecide_tensor_pool_tasks_total",
+		"Tasks run through Run with more than one participant.")
 	metricStolenChunks = obs.Default.NewCounter("rldecide_tensor_stolen_chunks_total",
-		"Row chunks claimed by a participant beyond its first (work stealing).")
+		"Row chunks or tasks claimed by a participant beyond its first (work stealing).")
 )
 
 func init() {
